@@ -25,12 +25,21 @@ batches:
   scalar walk would stop at such a leaf and treat it as a free variable);
   every cut therefore carries an interior bitmask, suspicious merges are
   detected exactly, and those rare cuts fall back to the scalar
-  :func:`~repro.aig.simulate.cone_truth_table` walk.
+  :func:`~repro.aig.simulate.cone_truth_table` walk;
+* **volumes** (AND nodes inside each cut, root included, leaves excluded —
+  :func:`~repro.aig.cuts.cut_volume`) are the popcount of that interior
+  bitmask; hazard rows take the count from their cone walk, and trivial
+  rows hold 0.
 
 The result is cached on the graph's :class:`~repro.aig.arrays.AigArrays`
 snapshot (``dp_cache``), i.e. with the same lifetime and sharing rules as
-the scalar cut cache.  ``tests/test_dp_arrays.py`` holds the differential
-suite asserting cut-set and table equality against the scalar path.
+the scalar cut cache.  Two passes consume it: the mapper's DP
+(:mod:`repro.mapping.dp_arrays`) and cut rewriting
+(:mod:`repro.transforms.rewrite`), which reads cuts, tables and volumes
+row by row.  ``tests/test_dp_arrays.py`` holds the differential suite
+asserting cut-set and table equality against the scalar path;
+``tests/test_transform_arrays.py`` checks the volumes against
+:func:`~repro.aig.cuts.cut_volume`.
 """
 
 from __future__ import annotations
@@ -62,6 +71,32 @@ _FULL_MASK = np.asarray([(1 << (1 << s)) - 1 for s in range(5)], dtype=np.int64)
 #: Bit positions of the packed (size, l0, l1, l2, l3) sort key.
 _PACK_SHIFTS = np.asarray([39, 26, 13, 0], dtype=np.int64)
 _PACK_SIZE_SHIFT = 52
+
+#: SWAR popcount constants (``np.bitwise_count`` needs numpy 2).
+_POP_M1 = np.uint64(0x5555555555555555)
+_POP_M2 = np.uint64(0x3333333333333333)
+_POP_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_POP_H01 = np.uint64(0x0101010101010101)
+
+
+def _row_popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a ``uint64`` matrix, as ``int64``.
+
+    In-place steps: the matrices are as large as the interior bitmasks.
+    """
+    x = words >> np.uint64(1)
+    x &= _POP_M1
+    np.subtract(words, x, out=x)
+    y = x >> np.uint64(2)
+    y &= _POP_M2
+    x &= _POP_M2
+    x += y
+    x += x >> np.uint64(4)
+    x &= _POP_M4
+    x *= _POP_H01
+    x >>= np.uint64(56)
+    return x.sum(axis=1).astype(np.int64)
+
 
 def _build_subset_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Packed-key generators for every proper nonempty subset of 4 slots.
@@ -139,6 +174,7 @@ class CutArrays:
         "leaves",
         "sizes",
         "tables",
+        "volumes",
         "start",
         "count",
         "num_rows",
@@ -152,6 +188,7 @@ class CutArrays:
         leaves: np.ndarray,
         sizes: np.ndarray,
         tables: np.ndarray,
+        volumes: np.ndarray,
         start: np.ndarray,
         count: np.ndarray,
         num_rows: int,
@@ -162,6 +199,9 @@ class CutArrays:
         self.leaves = leaves
         self.sizes = sizes
         self.tables = tables
+        #: AND nodes inside each cut, root included and leaves excluded
+        #: (:func:`~repro.aig.cuts.cut_volume`); 0 on trivial rows.
+        self.volumes = volumes
         self.start = start
         self.count = count
         self.num_rows = num_rows
@@ -250,6 +290,7 @@ def build_cut_arrays(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
     leaves_buf = np.full((capacity, 4), SENTINEL, dtype=np.int64)
     sizes_buf = np.zeros(capacity, dtype=np.int64)
     tables_buf = np.zeros(capacity, dtype=np.int64)
+    volumes_buf = np.zeros(capacity, dtype=np.int64)
     interior_buf = np.zeros((capacity, num_words), dtype=np.uint64)
     start = np.zeros(size, dtype=np.int64)
     count = np.zeros(size, dtype=np.int64)
@@ -439,6 +480,8 @@ def build_cut_arrays(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
         sizes_buf[dest_kept] = k_size
         tables_buf[dest_kept] = k_tables
         interior_buf[dest_kept] = combined
+        # The root is above every fanin-cut interior, so its bit is new.
+        volumes_buf[dest_kept] = _row_popcounts(combined) + 1
         node_word = (k_node >> 6).astype(np.int64)
         interior_buf[dest_kept, node_word] |= one_u64 << (
             k_node & 63
@@ -465,17 +508,20 @@ def build_cut_arrays(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
                 )
                 tables_buf[dest] = cone_truth_table(aig, var * 2, cut_leaves)
                 row_interior = np.zeros(num_words, dtype=np.uint64)
-                for member in _interior_walk(aig, var, cut_leaves):
+                members = _interior_walk(aig, var, cut_leaves)
+                for member in members:
                     row_interior[member >> 6] |= one_u64 << np.uint64(
                         member & 63
                     )
                 interior_buf[dest] = row_interior
+                volumes_buf[dest] = len(members)
 
     result = CutArrays(
         size=size,
         leaves=leaves_buf[:cursor],
         sizes=sizes_buf[:cursor],
         tables=tables_buf[:cursor],
+        volumes=volumes_buf[:cursor],
         start=start,
         count=count,
         num_rows=cursor,

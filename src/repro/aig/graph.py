@@ -21,7 +21,9 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.aig.journal import (
     MutationJournal,
@@ -35,7 +37,6 @@ from repro.aig.literals import (
     literal_var,
     make_literal,
     negate,
-    negate_if,
 )
 from repro.errors import AigError, LiteralError
 
@@ -424,45 +425,60 @@ class Aig:
 
         All primary inputs are preserved (in order) even if unused, so the
         interface of the design never changes during optimization.
+
+        The copy is an array compaction, not a node-by-node rebuild: one
+        reverse scan of the variable order (a topological order) marks what
+        the POs reach, the PIs are renumbered first in declaration order,
+        then the reachable AND nodes in variable order, and every fanin
+        literal is remapped.  The result is byte-identical to rebuilding
+        through :meth:`add_and` because this graph is already structurally
+        hashed: the renumbering is one-to-one, so no remapped node meets a
+        constant, equal or complementary fanin pair or a fanin pair already
+        taken.  Only the fanin order needs re-canonicalising, because a PI
+        declared after an AND node moves ahead of it.
         """
-        reachable = self._reachable_vars()
+        fanin0 = self._fanin0
+        fanin1 = self._fanin1
+        is_pi = self._is_pi
+        reachable = bytearray(self.size)
+        for lit in self._pos:
+            reachable[lit >> 1] = 1
+        reachable_ands: List[int] = []
+        for var in range(self.size - 1, 0, -1):
+            if reachable[var] and not is_pi[var]:
+                reachable_ands.append(var)
+                reachable[fanin0[var] >> 1] = 1
+                reachable[fanin1[var] >> 1] = 1
+        reachable_ands.reverse()
+        ands = np.asarray(reachable_ands, dtype=np.int64)
+        num_pis = len(self._pis)
+        first_and = num_pis + 1
+        old_to_new = np.zeros(self.size, dtype=np.int64)
+        old_to_new[self._pis] = np.arange(1, first_and)
+        old_to_new[ands] = np.arange(first_and, first_and + len(ands))
+
+        def remap(lits: np.ndarray) -> np.ndarray:
+            return (old_to_new[lits >> 1] << 1) | (lits & 1)
+
+        lit0 = remap(np.asarray(fanin0, dtype=np.int64)[ands])
+        lit1 = remap(np.asarray(fanin1, dtype=np.int64)[ands])
+        new_fanin0 = np.minimum(lit0, lit1).tolist()
+        new_fanin1 = np.maximum(lit0, lit1).tolist()
+
         new = Aig(name if name is not None else self.name)
-        old_to_new: Dict[int, int] = {0: CONST0}
-        for var, pi_name in zip(self._pis, self._pi_names):
-            old_to_new[var] = new.add_pi(pi_name)
-        for var in self.and_vars():
-            if var not in reachable:
-                continue
-            f0 = self._map_literal(self._fanin0[var], old_to_new)
-            f1 = self._map_literal(self._fanin1[var], old_to_new)
-            old_to_new[var] = new.add_and(f0, f1)
-        for lit, po_name in zip(self._pos, self._po_names):
-            new.add_po(self._map_literal(lit, old_to_new), po_name)
-        # Enabled only after construction so the rebuild itself is not
-        # journalled as a sea of touched nodes.
+        new._fanin0 = [CONST0] * first_and + new_fanin0
+        new._fanin1 = [CONST0] * first_and + new_fanin1
+        new._is_pi = [False] + [True] * num_pis + [False] * len(new_fanin0)
+        new._pis = list(range(1, first_and))
+        new._pi_names = list(self._pi_names)
+        new._pos = remap(np.asarray(self._pos, dtype=np.int64)).tolist()
+        new._po_names = list(self._po_names)
+        new._po_version = len(new._pos)
+        new._strash = dict(
+            zip(zip(new_fanin0, new_fanin1), range(first_and, new.size))
+        )
         new.journal.enabled = self.journal.enabled
         return new
-
-    def _reachable_vars(self) -> set:
-        """Variables in the transitive fanin of any PO."""
-        seen = set()
-        stack = [literal_var(lit) for lit in self._pos]
-        while stack:
-            var = stack.pop()
-            if var in seen or var == 0:
-                continue
-            seen.add(var)
-            if not self._is_pi[var]:
-                stack.append(literal_var(self._fanin0[var]))
-                stack.append(literal_var(self._fanin1[var]))
-        return seen
-
-    @staticmethod
-    def _map_literal(lit: int, old_to_new: Dict[int, int]) -> int:
-        var = literal_var(lit)
-        if var not in old_to_new:
-            raise AigError(f"literal {lit} refers to an unmapped variable {var}")
-        return negate_if(old_to_new[var], is_complemented(lit))
 
     # ------------------------------------------------------------------ #
     # Export
@@ -527,38 +543,3 @@ def rebuild_map(source: Aig, target: Aig) -> Dict[int, int]:
         mapping[var] = target.add_pi(name)
     return mapping
 
-
-def copy_cone(
-    source: Aig,
-    target: Aig,
-    mapping: Dict[int, int],
-    roots: Iterable[int],
-) -> None:
-    """Copy the transitive fanin cones of *roots* (literals) into *target*.
-
-    *mapping* maps already-copied source variables to target literals and is
-    updated in place.
-    """
-    for root in roots:
-        stack = [literal_var(root)]
-        post: List[int] = []
-        visited = set(mapping)
-        while stack:
-            var = stack.pop()
-            if var in visited:
-                continue
-            visited.add(var)
-            post.append(var)
-            if source.is_and(var):
-                f0, f1 = source.fanins(var)
-                stack.append(literal_var(f0))
-                stack.append(literal_var(f1))
-        for var in sorted(post):
-            if var in mapping:
-                continue
-            if not source.is_and(var):
-                raise AigError(f"variable {var} reached but not mapped (PI missing?)")
-            f0, f1 = source.fanins(var)
-            new_f0 = negate_if(mapping[literal_var(f0)], is_complemented(f0))
-            new_f1 = negate_if(mapping[literal_var(f1)], is_complemented(f1))
-            mapping[var] = target.add_and(new_f0, new_f1)

@@ -30,8 +30,10 @@ used by the durability tests and by accept-only front-end processes.
 from __future__ import annotations
 
 import hashlib
+import os
 import queue
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -257,9 +259,17 @@ class JobManager:
         digest = hashlib.sha256(data).hexdigest()[:16]
         path = self.uploads_dir / f"{digest}{suffix}"
         if not path.exists():
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_bytes(data)
-            tmp.replace(path)  # atomic: concurrent identical uploads converge
+            # One temp file per writer: concurrent identical uploads each
+            # replace the path with the same bytes instead of racing on a
+            # shared temp name.
+            fd, tmp = tempfile.mkstemp(dir=self.uploads_dir, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
         return path
 
     @staticmethod

@@ -106,8 +106,6 @@ class Refactor(Transform):
         leaves, cone_size = self._grow_cone(aig, var)
         if cone_size < self.min_cone_size or len(leaves) < 2:
             return None
-        if any(leaf not in mapping for leaf in leaves):
-            return None
         num_vars = len(leaves)
         table = cone_truth_table(aig, var * 2, leaves)
         gain = cone_size - resynth_cost(table, num_vars)

@@ -1,23 +1,40 @@
 """Cut-based rewriting (the ABC ``rewrite`` command, simplified).
 
-For every AND node the transform enumerates k-feasible cuts, computes the
-exact function of the best cut, and resynthesises that function from the cut
-leaves.  The resynthesised implementation replaces the original cone when its
-estimated cost is no worse; because the new graph is built with structural
-hashing, logic shared with already-rebuilt parts of the network is reused for
-free, which is where most of the node savings come from.
+For every AND node the transform looks at the node's k-feasible cuts, takes
+the exact function and the cone volume of each, and resynthesises that
+function from the cut leaves.  The resynthesised implementation replaces the
+original cone when its estimated cost is no worse; because the new graph is
+built with structural hashing, logic shared with already-rebuilt parts of the
+network is reused for free, which is where most of the node savings come
+from.
+
+Cuts, truth tables and volumes come from the array core
+(:func:`repro.aig.cut_arrays.build_cut_arrays`), which enumerates them in
+level-wave numpy batches and memoises them on the graph, so the per-node loop
+only reads CSR rows.  Graphs outside the array gate
+(:func:`~repro.aig.cut_arrays.cut_arrays_supported`) take
+:meth:`Rewrite.apply_scalar`, which builds the same rows from
+:func:`~repro.aig.cuts.enumerate_cuts` with one cone walk per cut; both paths
+produce the same graph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Sequence, Tuple
 
-from repro.aig.cuts import Cut, cut_volume, enumerate_cuts
+from repro.aig import cut_arrays
+from repro.aig.cuts import cut_volume, enumerate_cuts
 from repro.aig.graph import Aig, rebuild_map
-from repro.aig.literals import is_complemented, literal_var, negate_if
 from repro.aig.simulate import cone_truth_table
 from repro.transforms.base import Transform
 from repro.transforms.resynth import resynth_cost, synthesize_truth
+
+#: Per-cut rows in CSR form: ``(start, count, leaves, sizes, tables,
+#: volumes)``; rows ``start[var] .. start[var] + count[var]`` are *var*'s
+#: cuts, and ``leaves[row][:sizes[row]]`` are a row's leaves.
+CutRows = Tuple[
+    List[int], List[int], Sequence[Sequence[int]], List[int], List[int], List[int]
+]
 
 
 class Rewrite(Transform):
@@ -39,26 +56,88 @@ class Rewrite(Transform):
         self.zero_cost = zero_cost
 
     def apply(self, aig: Aig) -> Aig:
+        if not cut_arrays.cut_arrays_supported(aig, self.cut_size):
+            return self.apply_scalar(aig)
+        cuts = cut_arrays.build_cut_arrays(
+            aig, self.cut_size, self.max_cuts_per_node
+        )
+        rows = (
+            cuts.start.tolist(),
+            cuts.count.tolist(),
+            cuts.leaves.tolist(),
+            cuts.sizes.tolist(),
+            cuts.tables.tolist(),
+            cuts.volumes.tolist(),
+        )
+        return self._rebuild(aig, rows)
+
+    def apply_scalar(self, aig: Aig) -> Aig:
+        """Rewrite from :func:`enumerate_cuts` with a cone walk per cut.
+
+        The path for cut sizes or graph sizes beyond the array gate, and the
+        reference the array path is tested against.
+        """
         cuts = enumerate_cuts(
             aig,
             k=self.cut_size,
             max_cuts_per_node=self.max_cuts_per_node,
             include_trivial=True,
         )
+        start = [0] * aig.size
+        count = [0] * aig.size
+        leaves: List[Tuple[int, ...]] = []
+        sizes: List[int] = []
+        tables: List[int] = []
+        volumes: List[int] = []
+        for var in aig.and_vars():
+            node_cuts = cuts[var]
+            start[var] = len(leaves)
+            count[var] = len(node_cuts)
+            for cut in node_cuts:
+                leaves.append(cut.leaves)
+                sizes.append(cut.size)
+                if cut.size < 2:
+                    tables.append(0)
+                    volumes.append(0)
+                else:
+                    tables.append(cone_truth_table(aig, var * 2, cut.leaves))
+                    volumes.append(cut_volume(aig, cut))
+        return self._rebuild(aig, (start, count, leaves, sizes, tables, volumes))
+
+    def _rebuild(self, aig: Aig, rows: CutRows) -> Aig:
+        """Copy *aig*, replacing each node by its best-gain cut resynthesis."""
+        start, count, leaves, sizes, tables, volumes = rows
         new = Aig(aig.name)
         mapping = rebuild_map(aig, new)
+        fanin0 = aig._fanin0
+        fanin1 = aig._fanin1
+        add_and = new.add_and
+        min_gain = -1 if self.zero_cost else 0
 
         for var in aig.and_vars():
-            f0, f1 = aig.fanins(var)
-            default_lit = new.add_and(
-                negate_if(mapping[literal_var(f0)], is_complemented(f0)),
-                negate_if(mapping[literal_var(f1)], is_complemented(f1)),
+            f0 = fanin0[var]
+            f1 = fanin1[var]
+            default_lit = add_and(
+                mapping[f0 >> 1] ^ (f0 & 1), mapping[f1 >> 1] ^ (f1 & 1)
             )
-            best = self._try_rewrite(aig, new, mapping, var, cuts.get(var, ()))
-            mapping[var] = best if best is not None else default_lit
+            best_lit = None
+            best_gain = min_gain
+            begin = start[var]
+            for row in range(begin, begin + count[var]):
+                size = sizes[row]
+                # Trivial cuts (the node itself) have one leaf.
+                if size < 2:
+                    continue
+                table = tables[row]
+                gain = volumes[row] - resynth_cost(table, size)
+                if gain > best_gain:
+                    leaf_literals = [mapping[leaf] for leaf in leaves[row][:size]]
+                    best_lit = synthesize_truth(new, table, size, leaf_literals)
+                    best_gain = gain
+            mapping[var] = best_lit if best_lit is not None else default_lit
 
         for lit, name in zip(aig.po_literals(), aig.po_names):
-            new.add_po(negate_if(mapping[literal_var(lit)], is_complemented(lit)), name)
+            new.add_po(mapping[lit >> 1] ^ (lit & 1), name)
         result = new.cleanup()
         # The per-cone gain estimate ignores sharing outside the cut, so the
         # rebuilt graph can occasionally end up larger; in strict (non
@@ -66,28 +145,3 @@ class Rewrite(Transform):
         if not self.zero_cost and result.num_ands > aig.num_ands:
             return aig.cleanup()
         return result
-
-    def _try_rewrite(
-        self,
-        aig: Aig,
-        new: Aig,
-        mapping: Dict[int, int],
-        var: int,
-        node_cuts,
-    ) -> Optional[int]:
-        """Return a replacement literal for *var* or ``None`` to keep the copy."""
-        best_lit: Optional[int] = None
-        best_gain = 0 if not self.zero_cost else -1
-        for cut in node_cuts:
-            if cut.size < 2 or cut.leaves == (var,):
-                continue
-            if any(leaf not in mapping for leaf in cut.leaves):
-                continue
-            table = cone_truth_table(aig, var * 2, cut.leaves)
-            original_cost = cut_volume(aig, cut)
-            gain = original_cost - resynth_cost(table, cut.size)
-            if gain > best_gain:
-                leaf_literals = [mapping[leaf] for leaf in cut.leaves]
-                best_lit = synthesize_truth(new, table, cut.size, leaf_literals)
-                best_gain = gain
-        return best_lit

@@ -183,6 +183,41 @@ def test_concurrent_identical_submissions_execute_once(service_factory):
     assert stats["jobs"]["done"] == 1
 
 
+def test_concurrent_identical_uploads_store_one_file(tmp_path):
+    """Identical bytes stored from eight threads at once: no writer fails."""
+    manager = JobManager(ServiceConfig(workers=0, store=str(tmp_path / "store")))
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for trial in range(20):
+            data = bytes([trial]) * (1 << 20)
+            paths = []
+            errors = []
+            barrier = threading.Barrier(8)
+
+            def store():
+                try:
+                    barrier.wait(timeout=10)
+                    paths.append(manager._store_upload(data, ".bench"))
+                except Exception as exc:  # pragma: no cover - surfaced via assert
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=store) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert len(paths) == 8 and len(set(paths)) == 1
+            assert paths[0].read_bytes() == data
+        assert len(list(manager.uploads_dir.iterdir())) == 20
+        assert not sorted(manager.uploads_dir.glob("*.tmp"))
+    finally:
+        sys.setswitchinterval(switch_interval)
+        manager.close()
+
+
 # --------------------------------------------------------------------------- #
 # Rejection paths
 # --------------------------------------------------------------------------- #
