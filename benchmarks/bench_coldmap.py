@@ -116,7 +116,7 @@ def run_warm_resume(iterations: int) -> dict:
         designs=("EX00",),
         flows=("baseline",),
         optimizers=("greedy",),
-        evaluators=("cached", "incremental"),
+        evaluators=("cached",),
         seeds=(1, 2),
         iterations=iterations,
     )

@@ -153,14 +153,12 @@ def transitive_fanout(
 ) -> Set[int]:
     """Variables reachable from *roots* (variable ids) via fanout edges.
 
-    This is the *dirty cone* of incremental evaluation: when only the root
-    nodes were perturbed, every node whose mapping choice or arrival time can
-    differ lies in the transitive fanout of the roots (consumers see changed
+    When only the root nodes were perturbed, every node whose mapping choice
+    or arrival time can differ lies in this set (consumers see changed
     structure, arrival times, or fanout-dependent area flow).
 
-    An out-of-range root raises :class:`AigError`: a silent drop here would
-    mask journal corruption and shrink the dirty cone into wrong-answer
-    territory.
+    An out-of-range root raises :class:`AigError`: a silent drop would hide
+    a caller's bad variable id and shrink the returned cone.
     """
     size = aig.size
     root_list = list(roots)

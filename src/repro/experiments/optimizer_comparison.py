@@ -185,10 +185,10 @@ def run_optimizer_comparison(
 
     The evaluation budget of every algorithm is derived from
     ``config.sa_iterations`` so the comparison is evaluation-count fair.
-    An injected *evaluator* (cached/parallel/incremental) serves every
-    ground-truth check, so repeated and structurally overlapping best-AIG
-    evaluations share one state pool; injecting one forces serial execution
-    (a process pool would silently fork that shared state).
+    An injected *evaluator* (cached or parallel) serves every ground-truth
+    check, so repeated best-AIG evaluations share one cache; injecting one
+    forces serial execution (a process pool would silently fork that shared
+    state).
     """
     cfg = config or ExperimentConfig()
     design_name = design or (cfg.test_designs[0] if cfg.test_designs else cfg.train_designs[0])

@@ -36,7 +36,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.campaign.runner import OPTIMIZE_CELL_FN, EngineCell, run_cells
 from repro.campaign.spec import CampaignSpec
@@ -220,9 +220,9 @@ class JobManager:
                 f"of {self.config.max_budget}"
             )
         data = _decode_netlist(submission)
-        design_path = self._store_upload(data, suffix)
-        self._validate_netlist(design_path)
-        cell = self._build_cell(design_path, params)
+        spec = self._job_spec(self._upload_path(data, suffix), params)
+        design_path = self._store_upload(data, suffix, validate=self._validate_netlist)
+        cell = self._build_cell(spec)
         job_id = cell.cell_id
 
         with self._lock:
@@ -248,28 +248,46 @@ class JobManager:
             self._queue.put(cell)
             return self._job_locked(job_id), True
 
-    def _store_upload(self, data: bytes, suffix: str) -> Path:
+    def _upload_path(self, data: bytes, suffix: str) -> Path:
+        """Content-addressed location of an upload."""
+        return self.uploads_dir / f"{hashlib.sha256(data).hexdigest()[:16]}{suffix}"
+
+    def _store_upload(
+        self,
+        data: bytes,
+        suffix: str,
+        validate: Optional[Callable[[Path], object]] = None,
+    ) -> Path:
         """Write the upload content-addressed; identical content shares a file.
 
         The shared path matters: the campaign spec fingerprints file designs
         by content *and* keys the cell identity on the design token (the
         path), so identical netlists must resolve to one path for two
         submissions to collide onto one cell id.
+
+        The bytes are staged in a private ``*.tmp`` directory under the
+        upload's own file name (the readers pick the format by suffix), so
+        concurrent identical uploads never share a temp name.  *validate*
+        runs on the staged file, and only if it passes does ``os.replace``
+        move the file into place: a rejected upload leaves nothing behind.
+        An existing upload is validated in place but never removed, because
+        accepted jobs may share it.
         """
-        digest = hashlib.sha256(data).hexdigest()[:16]
-        path = self.uploads_dir / f"{digest}{suffix}"
-        if not path.exists():
-            # One temp file per writer: concurrent identical uploads each
-            # replace the path with the same bytes instead of racing on a
-            # shared temp name.
-            fd, tmp = tempfile.mkstemp(dir=self.uploads_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
+        path = self._upload_path(data, suffix)
+        if path.exists():
+            if validate is not None:
+                validate(path)
+            return path
+        staging = Path(tempfile.mkdtemp(dir=self.uploads_dir, suffix=".tmp"))
+        staged = staging / path.name
+        try:
+            staged.write_bytes(data)
+            if validate is not None:
+                validate(staged)
+            os.replace(staged, path)
+        finally:
+            staged.unlink(missing_ok=True)
+            staging.rmdir()
         return path
 
     @staticmethod
@@ -279,18 +297,32 @@ class JobManager:
 
         load_design(path)
 
-    def _build_cell(self, design_path: Path, params: Dict[str, Any]) -> EngineCell:
+    @staticmethod
+    def _job_spec(design_path: Path, params: Dict[str, Any]) -> CampaignSpec:
+        """The job's one-point campaign, its matrix axes checked.
+
+        Runs before the upload is stored, so a bad flow, optimizer or
+        evaluator is rejected with nothing written.
+        """
+        spec = CampaignSpec(
+            designs=[design_path],
+            flows=[params["flow"]],
+            optimizers=[params["optimizer"]],
+            evaluators=[params["evaluator"]],
+            seeds=[params["seed"]],
+            iterations=params["iterations"],
+            delay_weight=params["delay_weight"],
+            area_weight=params["area_weight"],
+        )
         try:
-            spec = CampaignSpec(
-                designs=[design_path],
-                flows=[params["flow"]],
-                optimizers=[params["optimizer"]],
-                evaluators=[params["evaluator"]],
-                seeds=[params["seed"]],
-                iterations=params["iterations"],
-                delay_weight=params["delay_weight"],
-                area_weight=params["area_weight"],
-            )
+            spec.validate()
+        except CampaignError as exc:
+            raise InvalidJobError(str(exc)) from exc
+        return spec
+
+    @staticmethod
+    def _build_cell(spec: CampaignSpec) -> EngineCell:
+        try:
             cells = spec.expand()
         except CampaignError as exc:
             raise InvalidJobError(str(exc)) from exc

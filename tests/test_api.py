@@ -10,6 +10,7 @@ from repro.api import (
     OptimizeRequest,
     ParallelEvaluator,
     SynthesisSession,
+    available_evaluators,
     available_flows,
     create_flow,
 )
@@ -236,6 +237,12 @@ class TestSynthesisSession:
             create_flow("no-such-flow")
         with pytest.raises(OptimizationError):
             create_flow("ml")  # missing delay model
+
+    @pytest.mark.parametrize("kind", ["incremental", "quantum"])
+    def test_unregistered_evaluator_kind_rejected(self, kind):
+        assert available_evaluators() == ["cached", "ground_truth", "parallel"]
+        with pytest.raises(OptimizationError, match="unknown evaluator"):
+            SynthesisSession(evaluator_kind=kind)
 
     def test_optimize_matches_legacy_flow(self, library):
         config = AnnealingConfig(iterations=4, keep_history=False)

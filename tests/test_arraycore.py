@@ -39,9 +39,6 @@ from repro.aig.simulate import (
     simulate,
 )
 from repro.errors import AigError
-from repro.mapping.incremental import IncrementalMapper
-from repro.mapping.mapper import TechnologyMapper
-from repro.sta.analysis import analyze_timing
 from repro.transforms.engine import apply_script
 
 _sim_module = importlib.import_module("repro.aig.simulate")
@@ -160,26 +157,6 @@ def test_vectorized_simulation_kernel_bit_identical(seed):
         mask = (1 << num_patterns) - 1
         vectorized = _sim_module._simulate_vectorized(aig, patterns, num_patterns, mask)
         assert vectorized == _ref_simulate(aig, patterns, num_patterns)
-
-
-@pytest.mark.parametrize("seed", range(0, 50, 5))
-def test_arraycore_mapping_parity(seed, library):
-    """Full map and incremental map_full agree gate-for-gate and in timing
-    after the refactor (the array core feeds both paths)."""
-    aig = _random_case(seed)
-    transformed = apply_script(aig, _random_script(seed)).aig
-
-    mapper = TechnologyMapper(library)
-    incremental = IncrementalMapper(library)
-    for graph in (aig, transformed):
-        netlist = mapper.map(graph)
-        state, stats = incremental.map_full(graph)
-        assert stats.mode == "full"
-        assert state.netlist.num_gates == netlist.num_gates
-        assert state.netlist.area_um2() == netlist.area_um2()
-        report = analyze_timing(netlist)
-        report_inc = analyze_timing(state.netlist)
-        assert report_inc.max_delay_ps == report.max_delay_ps
 
 
 def test_exact_key_and_fingerprint_pinned(tiny_aig):

@@ -66,6 +66,8 @@ class TestSpec:
         with pytest.raises(CampaignError):
             quick_spec(evaluators=("quantum",)).expand()
         with pytest.raises(CampaignError):
+            quick_spec(evaluators=("incremental",)).expand()
+        with pytest.raises(CampaignError):
             quick_spec(designs=()).expand()
         with pytest.raises(CampaignError):
             quick_spec(seeds=("one",)).expand()

@@ -118,7 +118,7 @@ SCHEDULES = [
     },
     {
         "id": "torn-append",
-        "plan": "dir={state};torn_append@store_append:nth=2,max=1,match={store}/w1.jsonl",
+        "plan": "dir={state};torn_append@store_append:nth=2,max=1,match={store}/w",
     },
     {
         "id": "flaky-fs",

@@ -11,6 +11,13 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_flow_rejects_unregistered_evaluator(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["flow", "EX68", "--evaluator", "incremental"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'incremental'" in capsys.readouterr().err
+
+
 def test_stats_command(capsys):
     assert main(["stats", "EX68"]) == 0
     out = capsys.readouterr().out

@@ -71,27 +71,3 @@ def test_flow_output_matches_golden(capsys, design, seed, golden):
         ],
     )
     assert _normalize(out) == _golden(golden)
-
-
-def test_flow_with_incremental_evaluator_matches_golden_numbers(capsys):
-    """`--evaluator incremental` must not change any reported number — it
-    only appends its own statistics line."""
-    out = _run_cli(
-        capsys,
-        [
-            "flow",
-            "EX68",
-            "--flow",
-            "baseline",
-            "--iterations",
-            "6",
-            "--seed",
-            "11",
-            "--evaluator",
-            "incremental",
-        ],
-    )
-    lines = _normalize(out).splitlines()
-    golden_lines = _golden("flow_ex68_baseline_seed11.txt").splitlines()
-    assert lines[: len(golden_lines)] == golden_lines
-    assert lines[len(golden_lines)].startswith("incremental eval   : ")

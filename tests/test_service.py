@@ -223,6 +223,8 @@ def test_concurrent_identical_uploads_store_one_file(tmp_path):
 # --------------------------------------------------------------------------- #
 def test_malformed_upload_is_400_parse_error(service_factory):
     service, client = service_factory()
+    uploads = service.manager.uploads_dir
+    before = sorted(uploads.iterdir())
     for netlist, fmt in (
         ("complete garbage ((", "bench"),
         ("aag 1 1 0 1\n", "aag"),
@@ -233,6 +235,9 @@ def test_malformed_upload_is_400_parse_error(service_factory):
             client.submit(netlist, fmt)
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error"] == "parse_error"
+        # Rejected before it was stored: no upload and no temp file left.
+        assert sorted(uploads.iterdir()) == before
+        assert not sorted(uploads.glob("*.tmp"))
 
 
 def test_bad_parameters_are_400_invalid_request(service_factory):
@@ -242,12 +247,17 @@ def test_bad_parameters_are_400_invalid_request(service_factory):
         {"format": "bench", "iterations": "many"},
         {"format": "bench", "optimizer": "quantum"},
         {"format": "bench", "flow": "does-not-exist"},
+        {"format": "bench", "evaluator": "incremental"},
     ]
+    uploads = service.manager.uploads_dir
+    before = sorted(uploads.iterdir())
     for case in cases:
         with pytest.raises(ServiceClientError) as excinfo:
             client._request("POST", "/jobs", {"netlist": BENCH, **case})
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error"] == "invalid_request"
+        assert sorted(uploads.iterdir()) == before
+        assert not sorted(uploads.glob("*.tmp"))
 
 
 def test_over_budget_rejected_at_submit(service_factory):

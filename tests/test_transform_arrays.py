@@ -164,7 +164,6 @@ def _rebuild_cleanup(aig: Aig) -> Aig:
             old_to_new[var] = new.add_and(mapped(f0), mapped(f1))
     for lit, name in zip(aig.po_literals(), aig.po_names):
         new.add_po(mapped(lit), name)
-    new.journal.enabled = aig.journal.enabled
     return new
 
 
@@ -180,7 +179,6 @@ def _state(aig: Aig):
         aig._po_names,
         list(aig._strash.items()),
         aig._po_version,
-        aig.journal.enabled,
     )
 
 
@@ -261,9 +259,8 @@ def test_cleanup_edge_cases():
 @pytest.mark.parametrize("name", ["EX00", "EX08", "EX54"])
 def test_cleanup_matches_rebuild_designs(name):
     aig = build_design(name).clone()
-    # Dead logic on top of a real design, and a journalled graph.
+    # Dead logic on top of a real design.
     aig.add_and(aig.po_literals()[0], aig.pi_literals()[0] ^ 1)
-    aig.journal.enabled = True
     _assert_cleanup_matches(aig)
     rewritten = Rewrite(zero_cost=True).apply(build_design(name))
     _assert_cleanup_matches(rewritten)
